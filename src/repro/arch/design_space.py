@@ -8,6 +8,7 @@ and enumerates neighbours.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
@@ -152,12 +153,12 @@ class DesignSpace:
         out[name] = value
         return out
 
-    def grid(self, points_per_axis: int) -> Iterator[DesignPoint]:
-        """Stratified grid: up to ``points_per_axis`` evenly spaced values
-        per parameter, Cartesian product enumerated lazily."""
+    def grid_axes(self, points_per_axis: int) -> List[Tuple[Any, ...]]:
+        """Per-parameter values of the stratified grid: up to
+        ``points_per_axis`` evenly spaced values of each parameter."""
         if points_per_axis < 1:
             raise ValueError("points_per_axis must be >= 1")
-        choices: List[Tuple[Any, ...]] = []
+        axes: List[Tuple[Any, ...]] = []
         for param in self._params:
             k = min(points_per_axis, param.cardinality)
             if k == 1:
@@ -167,16 +168,28 @@ class DesignSpace:
                 picks = tuple(
                     param.values[round(i * step)] for i in range(k)
                 )
-            choices.append(tuple(dict.fromkeys(picks)))
+            axes.append(tuple(dict.fromkeys(picks)))
+        return axes
 
-        def _product(prefix: DesignPoint, axis: int) -> Iterator[DesignPoint]:
-            if axis == len(self._params):
-                yield dict(prefix)
-                return
-            name = self._params[axis].name
-            for value in choices[axis]:
-                prefix[name] = value
-                yield from _product(prefix, axis + 1)
-            del prefix[name]
+    def grid(self, points_per_axis: int) -> Iterator[DesignPoint]:
+        """Stratified grid: the Cartesian product of :meth:`grid_axes`,
+        enumerated lazily with the last parameter varying fastest."""
+        names = [p.name for p in self._params]
+        axes = self.grid_axes(points_per_axis)
+        return (dict(zip(names, vals)) for vals in itertools.product(*axes))
 
-        return _product({}, 0)
+    def grid_point(
+        self, axes: Sequence[Tuple[Any, ...]], index: int
+    ) -> DesignPoint:
+        """The ``index``-th point of the grid over ``axes`` (from
+        :meth:`grid_axes`), in :meth:`grid` order, decoded directly as a
+        mixed-radix number whose last digit is the last parameter."""
+        if index < 0:
+            raise IndexError(f"grid index {index} is negative")
+        values: List[Any] = []
+        for axis in reversed(axes):
+            index, digit = divmod(index, len(axis))
+            values.append(axis[digit])
+        if index:
+            raise IndexError("grid index out of range")
+        return {p.name: v for p, v in zip(self._params, reversed(values))}

@@ -55,7 +55,6 @@ from repro.core.dse.constraints import (
 from repro.core.dse.result import DSEResult, TrialRecord, select_best
 from repro.cost.evaluator import CostEvaluator, Evaluation
 from repro.resilience.errors import as_repro_error
-from repro.resilience.supervisor import FailureRateBreaker
 from repro.telemetry.checkpoint import (
     CampaignCheckpoint,
     CheckpointError,
@@ -309,14 +308,22 @@ class ExplainableDSE:
         split evenly across starts (shared evaluator cache makes repeated
         visits free), and the merged trial log yields one result whose
         ``best`` is the best across all starts.
+
+        Raises:
+            ValueError: ``starts < 1`` (when ``initial_points`` is not
+                given), or an empty ``initial_points``.
         """
         import random as _random
 
         if initial_points is None:
+            if starts < 1:
+                raise ValueError(f"starts must be >= 1, got {starts}")
             rng = _random.Random(seed)
             initial_points = [self.space.minimum_point()] + [
                 self.space.random_point(rng) for _ in range(starts - 1)
             ]
+        elif not initial_points:
+            raise ValueError("initial_points must not be empty")
         per_start = max(1, self.max_evaluations // len(initial_points))
         started = time.perf_counter()
         merged_trials: List[TrialRecord] = []
@@ -362,56 +369,6 @@ class ExplainableDSE:
 
     # -- evaluation bookkeeping -------------------------------------------------
 
-    def _budget_left(self, base: int) -> int:
-        return self.max_evaluations - (self.evaluator.evaluations - base)
-
-    def _evaluate(
-        self,
-        point: DesignPoint,
-        trials: List[TrialRecord],
-        note: str,
-        tracer: Tracer = NULL_TRACER,
-        step: int = 0,
-        candidate_index: int = -1,
-        breaker: Optional[FailureRateBreaker] = None,
-    ) -> Optional[Evaluation]:
-        """Evaluate one point and record the trial.
-
-        With a ``breaker``, a failed evaluation quarantines the candidate
-        (infeasible trial + :class:`CandidateFailed` event) and returns
-        ``None`` instead of raising, so the campaign degrades gracefully;
-        without one (the initial point) failures propagate.
-        """
-        if breaker is None:
-            evaluation = self.evaluator.evaluate(point)
-        else:
-            try:
-                evaluation = self.evaluator.evaluate(point)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                self._quarantine(
-                    point,
-                    exc,
-                    trials,
-                    note=note,
-                    tracer=tracer,
-                    step=step,
-                    candidate_index=candidate_index,
-                )
-                breaker.record_failure()
-                return None
-            breaker.record_success()
-        return self._record_trial(
-            point,
-            evaluation,
-            trials,
-            note=note,
-            tracer=tracer,
-            step=step,
-            candidate_index=candidate_index,
-        )
-
     def _record_trial(
         self,
         point: DesignPoint,
@@ -424,10 +381,8 @@ class ExplainableDSE:
     ) -> Evaluation:
         """Record one successful evaluation: trial ledger + event.
 
-        Shared by :meth:`_evaluate` (inline evaluation) and the ask/tell
-        protocol (:class:`repro.optim.protocol.ExplainableEngine`), whose
-        driver evaluates externally and tells the result back — both
-        paths must write byte-identical ledgers and journals.
+        Called by :class:`repro.service.machine.CampaignStateMachine`
+        for the initial point and for every told candidate.
         """
         utilizations = {
             c.name: c.utilization(evaluation.costs) for c in self.constraints

@@ -500,7 +500,8 @@ def _cmd_pareto(args, parser: argparse.ArgumentParser) -> int:
             edge_constraints,
             make_evaluator,
         )
-        from repro.optim import DriverLoop, ExplainableEngine, ParetoArchive
+        from repro.optim import DriverLoop, ParetoArchive
+        from repro.service.machine import CampaignStateMachine
 
         evaluator = make_evaluator(args.model, mapping_mode=args.mapping)
         dse = ExplainableDSE(
@@ -515,7 +516,7 @@ def _cmd_pareto(args, parser: argparse.ArgumentParser) -> int:
             truncate=args.journal is not None,
         )
         result = DriverLoop(
-            ExplainableEngine(dse), archive=archive
+            CampaignStateMachine(dse), archive=archive
         ).run(None)
         archive.flush()
         print(

@@ -17,7 +17,6 @@ from repro.optim.local_search import LocalSearch
 from repro.optim.protocol import (
     DriverLoop,
     EvalResult,
-    ExplainableEngine,
     Proposal,
     SearchEngine,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "DEFAULT_OBJECTIVES",
     "DriverLoop",
     "EvalResult",
-    "ExplainableEngine",
     "FrontierEntry",
     "GaussianProcess",
     "GeneticAlgorithm",

@@ -8,7 +8,7 @@ leading parameters at their first grid value.
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import Optional
 
 from repro.arch.design_space import DesignPoint
@@ -29,17 +29,12 @@ class GridSearch(BaselineOptimizer):
             raise ValueError("points_per_axis must be >= 1")
         self.points_per_axis = points_per_axis
 
-    def _grid_size(self) -> int:
-        size = 1
-        for param in self.space.parameters:
-            size *= min(self.points_per_axis, param.cardinality)
-        return size
-
     def _propose(self, initial_point: Optional[DesignPoint]):
-        # No loop budget check: the grid is bounded, and the evaluation
-        # boundary (inline raise / ask budget gate) terminates the walk.
-        total = self._grid_size()
+        # No loop budget check: the grid is bounded, and the ask budget
+        # gate terminates the walk.  Strided points are decoded directly,
+        # so a campaign costs O(budget), not O(grid size).
+        axes = self.space.grid_axes(self.points_per_axis)
+        total = math.prod(len(axis) for axis in axes)
         stride = max(1, total // self.max_evaluations)
-        grid = self.space.grid(self.points_per_axis)
-        for point in itertools.islice(grid, 0, None, stride):
-            yield Proposal(point, "grid")
+        for index in range(0, total, stride):
+            yield Proposal(self.space.grid_point(axes, index), "grid")

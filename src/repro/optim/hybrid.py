@@ -80,6 +80,7 @@ class HybridDSE:
 
         refine_budget = self.max_evaluations - warm.evaluations
         refine_trials: List[TrialRecord] = []
+        evaluations = warm.evaluations
         explanations = list(warm.explanations)
         if refine_budget > 0:
             refiner = self.refiner(
@@ -93,6 +94,7 @@ class HybridDSE:
             start_point = warm.best.point if warm.best else None
             refined = refiner.run(initial_point=start_point)
             refine_trials = refined.trials
+            evaluations += refined.evaluations
             explanations.append(
                 f"=== handoff to {refiner.name} with "
                 f"{refine_budget} evaluations from "
@@ -119,7 +121,9 @@ class HybridDSE:
             model=self.evaluator.workload.name,
             trials=merged,
             best=best,
-            evaluations=len(merged),
+            # Evaluator-consumed, like every engine: a refiner revisit of
+            # the handoff point is a cache hit, a trial but no evaluation.
+            evaluations=evaluations,
             wall_seconds=time.perf_counter() - started,
             explanations=explanations,
         )

@@ -1,29 +1,24 @@
 """The ask/tell optimizer protocol: inverted-control search engines.
 
 Every optimizer in the reproduction — the eight black-box baselines and
-Explainable-DSE itself — historically owned its run loop: ``run()`` called
-the evaluator inline until the budget ran out.  That makes the engines
-impossible to multiplex under one harness (the campaign service wants to
-interleave *attempts*, an external proposer wants to bring its own
-evaluator) and impossible to compare step-for-step.  This module inverts
-the control flow, the way Optuna-style multi-objective DSE frameworks and
+Explainable-DSE — is a :class:`SearchEngine`: the engine proposes, a
+driver evaluates, the engine absorbs the results and proposes again.
+That lets one harness multiplex engines (the campaign service
+interleaves *attempts*; an external proposer brings its own evaluator)
+and charges every engine against the same evaluation budget through the
+same loop, the way Optuna-style multi-objective DSE frameworks and
 LLM-DSE's external-agent loop do (see PAPERS.md):
 
 * :class:`SearchEngine` — the protocol: ``start()``, ``ask(n)`` returning
   up to ``n`` design points, ``tell(results)`` returning their costs,
-  ``finished``/``result()``.
-* :class:`DriverLoop` — the deterministic reference driver: asks, charges
-  the engine's evaluator, tells, and journals :class:`~repro.telemetry
+  ``finished``/``result()``.  The baselines implement it in
+  :class:`repro.optim.base.BaselineOptimizer`, Explainable-DSE in
+  :class:`repro.service.machine.CampaignStateMachine`.
+* :class:`DriverLoop` — the one deterministic driver: asks, charges the
+  engine's evaluator, tells, and journals :class:`~repro.telemetry
   .events.AskIssued` / :class:`~repro.telemetry.events.TellRecorded`
-  protocol events.  Driving an engine with it is proven bit-identical
-  (result fingerprint + canonical journal) to the engine's legacy
-  ``run()`` by ``tests/test_ask_tell_equivalence.py`` and the
-  ``repro.verify`` ask-tell leg.
-* :class:`ExplainableEngine` — Explainable-DSE behind the same protocol,
-  implemented over the :class:`~repro.service.machine
-  .CampaignStateMachine` attempt split (``begin_attempt`` /
-  ``finish_attempt``), so the analysis/acquisition/update decisions stay
-  in exactly one place.
+  protocol events.  Every baseline's ``run()`` is a ``DriverLoop`` run,
+  and ``tests/goldens/engines.json`` pins each engine's outcome.
 
 Determinism contract: ``ask`` serves candidates in the engine's canonical
 acquisition order, capped at the remaining budget, and ``tell`` must
@@ -35,7 +30,7 @@ tells from a confused driver must never corrupt a journal.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.arch.design_space import DesignPoint
@@ -48,7 +43,7 @@ __all__ = [
     "EvalResult",
     "SearchEngine",
     "DriverLoop",
-    "ExplainableEngine",
+    "evaluate_point",
 ]
 
 
@@ -66,8 +61,8 @@ class EvalResult:
 
     Exactly one of ``evaluation`` / ``error`` is set.  Engines that do
     not declare ``captures_failures`` never receive an ``error`` — the
-    driver lets the failure propagate instead, matching the legacy
-    behaviour of the baselines (only Explainable-DSE quarantines).
+    driver lets the failure propagate instead (only Explainable-DSE
+    quarantines).
     """
 
     point: Dict[str, Any]
@@ -83,10 +78,10 @@ class SearchEngine(abc.ABC):
     """The ask/tell protocol every optimizer implements.
 
     Lifecycle: ``start(initial_point)`` once, then repeat ``ask(n)`` /
-    ``tell(results)`` until ``finished``; ``result()`` yields the same
-    :class:`~repro.core.dse.result.DSEResult` the legacy ``run()``
-    returned.  ``ask`` may return fewer than ``n`` points (budget cap)
-    and returns ``[]`` only once the engine is finished.
+    ``tell(results)`` until ``finished``; ``result()`` yields the
+    :class:`~repro.core.dse.result.DSEResult`.  ``ask`` may return fewer
+    than ``n`` points (budget cap) and returns ``[]`` only once the
+    engine is finished.
     """
 
     #: Whether ``tell`` accepts :class:`EvalResult` with ``error`` set
@@ -126,8 +121,28 @@ class SearchEngine(abc.ABC):
         return 0
 
 
+def evaluate_point(
+    evaluator, point: DesignPoint, *, capture: bool
+) -> EvalResult:
+    """Evaluate one asked point into an :class:`EvalResult`.
+
+    With ``capture``, an evaluation exception becomes the result's
+    ``error`` (for engines that quarantine); otherwise it propagates.
+    Interrupts always propagate.
+    """
+    if not capture:
+        return EvalResult(point=point, evaluation=evaluator.evaluate(point))
+    try:
+        evaluation = evaluator.evaluate(point)
+    except (KeyboardInterrupt, SystemExit):
+        raise
+    except Exception as exc:
+        return EvalResult(point=point, error=exc)
+    return EvalResult(point=point, evaluation=evaluation)
+
+
 class DriverLoop:
-    """The deterministic reference driver for any :class:`SearchEngine`.
+    """The one deterministic driver for any :class:`SearchEngine`.
 
     Asks for up to ``batch_size`` points, evaluates each through
     ``evaluator`` (default: the engine's own, so budget charging is
@@ -135,8 +150,7 @@ class DriverLoop:
     :class:`AskIssued` / :class:`TellRecorded` pair per round through the
     engine's tracer.  When the engine ``captures_failures``, evaluation
     exceptions are delivered as :class:`EvalResult` errors instead of
-    propagating — the engine quarantines them exactly as its legacy loop
-    did.
+    propagating, and the engine quarantines them.
 
     ``archive``, when given, is fed every trial of the final result (an
     object with ``insert_trial``, e.g. :class:`repro.optim.archive
@@ -184,21 +198,13 @@ class DriverLoop:
                     "ask/tell protocol stall: ask() returned no points "
                     "but the engine is not finished"
                 )
-            results: List[EvalResult] = []
-            failures = 0
-            for point in points:
-                if engine.captures_failures:
-                    try:
-                        evaluation = self.evaluator.evaluate(point)
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:
-                        results.append(EvalResult(point=point, error=exc))
-                        failures += 1
-                        continue
-                else:
-                    evaluation = self.evaluator.evaluate(point)
-                results.append(EvalResult(point=point, evaluation=evaluation))
+            results = [
+                evaluate_point(
+                    self.evaluator, point, capture=engine.captures_failures
+                )
+                for point in points
+            ]
+            failures = sum(not res.ok for res in results)
             self.tracer.emit(
                 TellRecorded(
                     step=step, count=len(results), failures=failures
@@ -210,178 +216,3 @@ class DriverLoop:
             for trial in result.trials:
                 self.archive.insert_trial(trial)
         return result
-
-
-class ExplainableEngine(SearchEngine):
-    """Explainable-DSE behind the ask/tell protocol.
-
-    Wraps a :class:`~repro.service.machine.CampaignStateMachine` and
-    drives its attempt split: ``ask`` opens an attempt with
-    ``begin_attempt()`` and serves its candidate queue (budget-capped),
-    ``tell`` records each result through the DSE's own trial bookkeeping
-    (quarantining errors through the circuit breaker), and the attempt is
-    closed with ``finish_attempt()`` once its queue drains — so the
-    analysis, acquisition, and incumbent-update decisions are executed by
-    exactly the same code, in exactly the same order, as a legacy
-    ``run()``.
-    """
-
-    captures_failures = True
-
-    def __init__(self, dse, *, tracer: Optional[Tracer] = None, machine=None):
-        self.dse = dse
-        self.tracer = tracer if tracer is not None else dse.tracer
-        self.machine = machine
-        #: (candidate_index, candidate) not yet served this attempt.
-        self._queue: List[tuple] = []
-        #: (candidate_index, candidate) served, awaiting tell.
-        self._outstanding: List[tuple] = []
-        #: (candidate, evaluation) recorded this attempt.
-        self._evaluated: List[tuple] = []
-        self._open = False
-
-    @property
-    def evaluator(self):
-        return self.dse.evaluator
-
-    @property
-    def step_hint(self) -> int:
-        if self.machine is None:
-            return 0
-        return self.machine.attempt if self._open else self.machine.attempt + 1
-
-    def start(self, initial_point: Optional[DesignPoint] = None) -> None:
-        from repro.service.machine import CampaignStateMachine
-
-        if self.machine is None:
-            self.machine = CampaignStateMachine(
-                self.dse, initial_point, tracer=self.tracer
-            )
-        self._queue = []
-        self._outstanding = []
-        self._evaluated = []
-        self._open = False
-        self.machine.start()
-
-    @property
-    def finished(self) -> bool:
-        if self.machine is None:
-            return False
-        return self.machine.state.terminal
-
-    def result(self) -> DSEResult:
-        if self.machine is None:
-            raise RuntimeError("start() must be called before result()")
-        return self.machine.result()
-
-    def _budget_left(self) -> int:
-        return self.dse._budget_left(self.machine.base_evaluations)
-
-    def ask(self, n: int) -> List[DesignPoint]:
-        if n <= 0:
-            raise ValueError(f"ask(n) requires n >= 1, got {n}")
-        if self.machine is None:
-            raise RuntimeError("start() must be called before ask()")
-        from repro.service.machine import CampaignState
-
-        machine = self.machine
-        while True:
-            if self._outstanding:
-                # Results pending: serve more of the queue only while the
-                # budget allows (the legacy loop re-checks per candidate).
-                return self._serve(n)
-            if self._open:
-                if self._queue and self._budget_left() > 0:
-                    return self._serve(n)
-                # Queue drained, or budget ran out mid-attempt (the
-                # legacy per-candidate budget break): close the attempt.
-                self._conclude_attempt()
-                if machine.state is not CampaignState.RUNNING:
-                    return []
-                continue
-            if machine.state is not CampaignState.RUNNING:
-                return []
-            candidates = machine.begin_attempt()
-            if candidates is None:
-                # Terminated inside begin_attempt (budget exhausted or
-                # mitigation exhausted).
-                return []
-            self._open = True
-            self._queue = list(enumerate(candidates))
-            self._evaluated = []
-
-    def _serve(self, n: int) -> List[DesignPoint]:
-        count = min(n, max(0, self._budget_left()), len(self._queue))
-        served = self._queue[:count]
-        del self._queue[:count]
-        machine, dse = self.machine, self.dse
-        for _, candidate in served:
-            machine.tried_points.add(dse.space.point_key(candidate.point))
-        self._outstanding.extend(served)
-        return [dict(candidate.point) for _, candidate in served]
-
-    def _conclude_attempt(self) -> None:
-        """Run the attempt epilogue (update/patience/breaker); may raise
-        the breaker's systemic fault exactly like a legacy ``step()``."""
-        self._queue = []
-        self._outstanding = []
-        self._open = False
-        evaluated, self._evaluated = self._evaluated, []
-        self.machine.finish_attempt(evaluated)
-
-    def tell(self, results: Sequence[EvalResult]) -> None:
-        if self.machine is None:
-            raise RuntimeError("start() must be called before tell()")
-        results = list(results)
-        if not results:
-            return
-        if len(results) > len(self._outstanding):
-            raise ValueError(
-                f"tell() got {len(results)} results but only "
-                f"{len(self._outstanding)} points are outstanding"
-            )
-        machine, dse = self.machine, self.dse
-        attempt = machine.attempt
-        for res in results:
-            if machine.breaker.tripped:
-                # The legacy loop breaks at the tripped evaluation and
-                # discards the rest of the attempt.
-                break
-            index, candidate = self._outstanding[0]
-            if dse.space.point_key(res.point) != dse.space.point_key(
-                candidate.point
-            ):
-                raise ValueError(
-                    "stale tell: result for a point that was never asked "
-                    "(or out of ask order)"
-                )
-            self._outstanding.pop(0)
-            if res.error is not None:
-                dse._quarantine(
-                    candidate.point,
-                    res.error,
-                    machine.trials,
-                    note=candidate.reason,
-                    tracer=self.tracer,
-                    step=attempt,
-                    candidate_index=index,
-                )
-                machine.breaker.record_failure()
-            else:
-                machine.breaker.record_success()
-                dse._record_trial(
-                    candidate.point,
-                    res.evaluation,
-                    machine.trials,
-                    note=candidate.reason,
-                    tracer=self.tracer,
-                    step=attempt,
-                    candidate_index=index,
-                )
-                self._evaluated.append((candidate, res.evaluation))
-        if machine.breaker.tripped or not (
-            self._outstanding or (self._queue and self._budget_left() > 0)
-        ):
-            # Attempt complete (or aborted by the breaker): run the
-            # epilogue eagerly so ``finished`` is accurate after tell.
-            self._conclude_attempt()

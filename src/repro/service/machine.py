@@ -17,12 +17,20 @@ which the campaign checkpoints, pauses, resumes, and cancels — and the
 machine's persistent form *is* the existing
 :class:`~repro.telemetry.checkpoint.CampaignCheckpoint` schema: pausing
 writes one, resuming restores one, and a machine rebuilt from a
-checkpoint continues bit-identically.  ``ExplainableDSE.run()`` is now a
+checkpoint continues bit-identically.  ``ExplainableDSE.run()`` is a
 thin driver (``start(); while RUNNING: step(); result()``), so a
 campaign driven step-by-step — interleaved with other campaigns by the
 :mod:`repro.service` scheduler, killed and resumed across processes —
 produces byte-identical journals and result fingerprints to a straight
 ``run()`` *by construction*: both execute this class.
+
+The machine is also Explainable-DSE's
+:class:`~repro.optim.protocol.SearchEngine`: ``ask`` opens an attempt
+(analysis and acquisition) and serves its candidates, ``tell`` records
+them (quarantining failures through the circuit breaker) and closes the
+attempt once its candidates are spent.  :meth:`step` is one attempt of
+that same ask/tell, evaluated in place without protocol events, so
+``DriverLoop(machine)`` and ``step()`` share every per-candidate line.
 
 Journal-identity invariant: the machine only flushes its tracer at
 attempt boundaries (checkpoints, pause, cancel, termination).  Events
@@ -36,10 +44,11 @@ from __future__ import annotations
 import enum
 import math
 import time
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.dse.constraints import all_satisfied
 from repro.core.dse.result import DSEResult, TrialRecord, select_best
+from repro.optim.protocol import EvalResult, SearchEngine, evaluate_point
 from repro.resilience.supervisor import FailureRateBreaker
 from repro.telemetry.checkpoint import trials_from_dicts
 from repro.telemetry.events import (
@@ -51,7 +60,7 @@ from repro.telemetry.events import (
     RunSummary,
     StepStarted,
 )
-from repro.telemetry.tracer import NULL_TRACER, Tracer
+from repro.telemetry.tracer import Tracer
 
 __all__ = [
     "CampaignState",
@@ -111,9 +120,9 @@ def _jsonable(value: object) -> object:
     return str(value)
 
 
-class CampaignStateMachine:
+class CampaignStateMachine(SearchEngine):
     """One Explainable-DSE campaign, drivable one acquisition attempt at
-    a time.
+    a time (:meth:`step`) or one candidate at a time (``ask``/``tell``).
 
     Args:
         dse: The configured :class:`~repro.core.dse.explainable
@@ -121,7 +130,8 @@ class CampaignStateMachine:
             budgets); the machine calls its analysis/acquisition/update
             methods so the per-attempt decisions live in one place.
         initial_point: Starting design point (default: the space
-            minimum); ignored on resume.
+            minimum, or the point given to :meth:`start`); ignored on
+            resume.
         tracer: Telemetry tracer (default: the DSE's own).
         checkpoint_path: When set, a crash-safe snapshot is written every
             ``checkpoint_every`` completed attempts, on pause/cancel, and
@@ -131,6 +141,8 @@ class CampaignStateMachine:
             .CampaignCheckpoint` or a path to one; :meth:`start` restores
             it instead of evaluating ``initial_point``.
     """
+
+    captures_failures = True
 
     def __init__(
         self,
@@ -167,7 +179,9 @@ class CampaignStateMachine:
         self.attempt = 0
         self.attempts_without_improvement = 0
         self.breaker = FailureRateBreaker()
-        self.finished = False  # checkpoint-schema flag, not machine state
+        #: Patience or mitigation ran out: the checkpoint's ``finished``
+        #: flag (budget exhaustion leaves it False).
+        self.converged = False
         self.current = None
         self.current_eval = None
         self.tried_points: Set[Tuple] = set()
@@ -175,6 +189,27 @@ class CampaignStateMachine:
         self._started: Optional[float] = None
         self._result: Optional[DSEResult] = None
         self._last_checkpoint_attempt: Optional[int] = None
+        # The open attempt: (candidate_index, candidate) pairs not yet
+        # served, served but not yet told, and (candidate, evaluation)
+        # pairs told successfully.
+        self._open = False
+        self._queue: List[tuple] = []
+        self._outstanding: List[tuple] = []
+        self._evaluated: List[tuple] = []
+
+    # -- search-engine surface -----------------------------------------------
+
+    @property
+    def evaluator(self):
+        return self.dse.evaluator
+
+    @property
+    def finished(self) -> bool:
+        return self.state.terminal
+
+    @property
+    def step_hint(self) -> int:
+        return self.attempt if self._open else self.attempt + 1
 
     # -- derived accounting --------------------------------------------------
 
@@ -206,14 +241,17 @@ class CampaignStateMachine:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> CampaignState:
-        """PENDING -> RUNNING: evaluate the initial point, or restore the
-        ``resume_from`` checkpoint (a finished checkpoint goes straight
-        to FINISHED with the stored outcome)."""
+    def start(self, initial_point=None) -> CampaignState:
+        """PENDING -> RUNNING: evaluate the initial point (``initial_point``
+        overrides the constructor's), or restore the ``resume_from``
+        checkpoint (a finished checkpoint goes straight to FINISHED with
+        the stored outcome)."""
         if self.state is not CampaignState.PENDING:
             raise CampaignStateError(
                 f"cannot start a {self.state.value} campaign"
             )
+        if initial_point is not None:
+            self.initial_point = initial_point
         dse = self.dse
         self._started = time.perf_counter()
         try:
@@ -261,8 +299,10 @@ class CampaignStateMachine:
                     self.initial_point or dse.space.minimum_point()
                 )
                 dse.space.validate(self.current)
-                self.current_eval = dse._evaluate(
+                # The initial point is not quarantined: failures propagate.
+                self.current_eval = dse._record_trial(
                     self.current,
+                    dse.evaluator.evaluate(self.current),
                     self.trials,
                     note="initial point",
                     tracer=self.tracer,
@@ -287,59 +327,129 @@ class CampaignStateMachine:
         failure-rate circuit breaker trips (a resumable checkpoint is
         written first when configured).
 
-        The attempt is split into :meth:`begin_attempt` (budget gate,
-        analysis, acquisition — paper steps 1-5), the candidate
-        evaluation loop, and :meth:`finish_attempt` (incumbent update,
-        patience, breaker, checkpoint — step 6), so the ask/tell
-        protocol (:class:`repro.optim.protocol.ExplainableEngine`) can
-        interpose an external evaluator between the same two halves and
-        stay bit-identical by construction.
+        The attempt runs through the machine's own :meth:`ask` /
+        :meth:`tell`, one candidate at a time on the DSE's evaluator,
+        without protocol events — so the journal is the campaign's
+        decisions only.
         """
-        candidates = self.begin_attempt()
-        if candidates is None:
-            return self.state
+        if self.state is not CampaignState.RUNNING:
+            raise CampaignStateError(
+                f"cannot step a {self.state.value} campaign"
+            )
+        while True:
+            points = self.ask(1)
+            if not points:
+                return self.state
+            result = evaluate_point(self.evaluator, points[0], capture=True)
+            self.tell([result])
+            if not self._open:
+                return self.state
+
+    def ask(self, n: int) -> List[dict]:
+        """Up to ``n`` candidates of the open attempt (opening the next
+        one when none is open); ``[]`` once the campaign has ended."""
+        if n <= 0:
+            raise ValueError(f"ask(n) requires n >= 1, got {n}")
+        self._require_started("ask")
+        while True:
+            if self._outstanding:
+                # Results pending: serve more of the queue only while
+                # the budget allows.
+                return self._serve(n)
+            if self._open:
+                if self._queue and self._budget_left() > 0:
+                    return self._serve(n)
+                # Queue drained, or budget spent mid-attempt: close it.
+                self._finish_attempt()
+            if self.state is not CampaignState.RUNNING:
+                return []
+            candidates = self._begin_attempt()
+            if candidates is None:
+                return []
+            self._open = True
+            self._queue = list(enumerate(candidates))
+
+    def tell(self, results: Sequence[EvalResult]) -> None:
+        """Record results for served candidates, in ask order; the
+        attempt closes (update, patience, breaker) once nothing of it
+        remains to serve.  A tripped breaker discards the rest of the
+        attempt and raises its systemic fault."""
+        self._require_started("tell")
+        results = list(results)
+        if not results:
+            return
+        if len(results) > len(self._outstanding):
+            raise ValueError(
+                f"tell() got {len(results)} results but only "
+                f"{len(self._outstanding)} points are outstanding"
+            )
         dse = self.dse
-        attempt = self.attempt
-        evaluated = []
-        for index, candidate in enumerate(candidates):
-            if dse._budget_left(self.base_evaluations) <= 0:
-                break
-            self.tried_points.add(dse.space.point_key(candidate.point))
-            evaluation = dse._evaluate(
-                candidate.point,
-                self.trials,
+        for res in results:
+            index, candidate = self._outstanding[0]
+            if dse.space.point_key(res.point) != dse.space.point_key(
+                candidate.point
+            ):
+                raise ValueError(
+                    "stale tell: result for a point that was never asked "
+                    "(or out of ask order)"
+                )
+            self._outstanding.pop(0)
+            record = dict(
                 note=candidate.reason,
                 tracer=self.tracer,
-                step=attempt,
+                step=self.attempt,
                 candidate_index=index,
-                breaker=self.breaker,
             )
-            if evaluation is not None:
-                evaluated.append((candidate, evaluation))
+            if res.error is not None:
+                dse._quarantine(
+                    candidate.point, res.error, self.trials, **record
+                )
+                self.breaker.record_failure()
+            else:
+                self.breaker.record_success()
+                dse._record_trial(
+                    candidate.point, res.evaluation, self.trials, **record
+                )
+                self._evaluated.append((candidate, res.evaluation))
             if self.breaker.tripped:
-                # Abort at the attempt boundary: finish the update with
-                # whatever evaluated, checkpoint, then raise.
                 break
-        return self.finish_attempt(evaluated)
+        if self.breaker.tripped or not (
+            self._outstanding or (self._queue and self._budget_left() > 0)
+        ):
+            # Close eagerly so ``finished`` is accurate after the tell.
+            self._finish_attempt()
 
-    def begin_attempt(self):
+    def _require_started(self, operation: str) -> None:
+        if self.state is CampaignState.PENDING:
+            raise CampaignStateError(
+                f"start() must be called before {operation}()"
+            )
+
+    def _budget_left(self) -> int:
+        consumed = self.dse.evaluator.evaluations - self.base_evaluations
+        return self.dse.max_evaluations - consumed
+
+    def _serve(self, n: int) -> List[dict]:
+        count = min(n, max(0, self._budget_left()), len(self._queue))
+        served = self._queue[:count]
+        del self._queue[:count]
+        for _, candidate in served:
+            self.tried_points.add(self.dse.space.point_key(candidate.point))
+        self._outstanding.extend(served)
+        return [dict(candidate.point) for _, candidate in served]
+
+    def _begin_attempt(self):
         """Steps 1-5 of one attempt: budget gate, bottleneck analysis,
         and candidate acquisition.
 
         Returns the acquired candidate list, or ``None`` when the
         attempt terminated the campaign instead (budget exhausted, or no
         mitigating candidates remain) — the state is then FINISHED and
-        the result is ready.  A non-``None`` return leaves an attempt
-        *open*: the caller must evaluate (a budget-capped prefix of) the
-        candidates and close the attempt with :meth:`finish_attempt`.
+        the result is ready.
         """
-        if self.state is not CampaignState.RUNNING:
-            raise CampaignStateError(
-                f"cannot step a {self.state.value} campaign"
-            )
         dse = self.dse
         tracer = self.tracer
-        if dse._budget_left(self.base_evaluations) <= 0:
+        if self._budget_left() <= 0:
             tracer.emit(
                 BudgetExhausted(
                     step=self.attempt,
@@ -405,23 +515,18 @@ class CampaignStateMachine:
                 f"[attempt {attempt}] no mitigating candidates remain; "
                 "terminating"
             )
-            self.finished = True
+            self.converged = True
             self._terminate()
             return None
         return candidates
 
-    def finish_attempt(self, evaluated) -> CampaignState:
-        """Step 6 of one attempt: incumbent update, patience, breaker.
-
-        ``evaluated`` is the ``(candidate, evaluation)`` list for the
-        candidates of the attempt opened by :meth:`begin_attempt` that
-        were successfully evaluated (quarantined candidates are already
-        recorded in the trial ledger and excluded here).
-        """
-        if self.state is not CampaignState.RUNNING:
-            raise CampaignStateError(
-                f"cannot step a {self.state.value} campaign"
-            )
+    def _finish_attempt(self) -> CampaignState:
+        """Step 6 of the open attempt: incumbent update over its
+        successfully evaluated candidates (quarantined ones are already
+        in the trial ledger), patience, breaker, checkpoint."""
+        evaluated = self._evaluated
+        self._open = False
+        self._queue, self._outstanding, self._evaluated = [], [], []
         dse = self.dse
         tracer = self.tracer
         attempt = self.attempt
@@ -449,13 +554,13 @@ class CampaignStateMachine:
                     f"[attempt {attempt}] no improvement for "
                     f"{dse.patience} attempts; terminating"
                 )
-                self.finished = True
+                self.converged = True
         else:
             self.attempts_without_improvement = 0
             self.exhausted.clear()
             self.current, self.current_eval = dict(new_point), new_eval
         self._feed_archive()
-        if self.breaker.tripped and not self.finished:
+        if self.breaker.tripped and not self.converged:
             # Systemic fault (REPRO_MAX_FAILURE_RATE exceeded): persist a
             # resumable snapshot, then abort instead of grinding on.
             self.explanations.append(
@@ -471,7 +576,7 @@ class CampaignStateMachine:
                 attempt=attempt, checkpoint=self.checkpoint_path
             )
             raise self.error
-        if self.finished:
+        if self.converged:
             return self._terminate()
         if self.checkpoint_path and attempt % self.checkpoint_every == 0:
             self._checkpoint(finished=False)
@@ -574,7 +679,7 @@ class CampaignStateMachine:
             )
         )
         if self.checkpoint_path:
-            self._checkpoint(finished=self.finished)
+            self._checkpoint(finished=self.converged)
         self.tracer.flush()
         self._result = DSEResult(
             technique="explainable",

@@ -123,6 +123,22 @@ class TestSamplingAndMoves:
         with pytest.raises(ValueError):
             list(small_space.grid(0))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_grid_point_decodes_every_index(self, small_space, k):
+        points = list(small_space.grid(k))
+        axes = small_space.grid_axes(k)
+        decoded = [small_space.grid_point(axes, i) for i in range(len(points))]
+        assert decoded == points
+        # Key order too: points serialize identically.
+        assert [list(p) for p in decoded] == [list(p) for p in points]
+
+    def test_grid_point_rejects_out_of_range(self, small_space):
+        axes = small_space.grid_axes(2)
+        with pytest.raises(IndexError):
+            small_space.grid_point(axes, 8)
+        with pytest.raises(IndexError):
+            small_space.grid_point(axes, -1)
+
 
 @settings(max_examples=50)
 @given(data=st.data())

@@ -121,6 +121,30 @@ class TestHybridDSE:
         assert notes == {"warm", "refine"}
         assert result.technique.startswith("hybrid-explainable+")
 
+    def test_reports_consumed_evaluations(self):
+        """Reported evaluations are evaluator-consumed, not trials: the
+        refiner's re-evaluated handoff point is a cache hit."""
+        from repro.experiments.setup import (
+            build_edge_design_space,
+            edge_constraints,
+            make_evaluator,
+        )
+        from repro.optim.local_search import LocalSearch
+
+        evaluator = make_evaluator("resnet18")
+        hybrid = HybridDSE(
+            build_edge_design_space(),
+            evaluator,
+            edge_constraints("resnet18"),
+            max_evaluations=12,
+            refiner=LocalSearch,
+        )
+        before = evaluator.evaluations
+        result = hybrid.run()
+        consumed = evaluator.evaluations - before
+        assert result.evaluations == consumed <= 12
+        assert len(result.trials) > consumed  # the handoff revisit
+
     def test_handoff_logged(self, hybrid):
         result = hybrid.run()
         assert any("handoff" in line for line in result.explanations)

@@ -54,3 +54,14 @@ class TestMultiStart:
         result = dse.run_multi_start(starts=2, seed=0)
         assert any("=== start 0" in line for line in result.explanations)
         assert any("=== start 1" in line for line in result.explanations)
+
+
+class TestMultiStartValidation:
+    @pytest.mark.parametrize("starts", [0, -2])
+    def test_rejects_nonpositive_starts(self, dse, starts):
+        with pytest.raises(ValueError, match="starts"):
+            dse.run_multi_start(starts=starts)
+
+    def test_rejects_empty_initial_points(self, dse):
+        with pytest.raises(ValueError, match="initial_points"):
+            dse.run_multi_start(initial_points=[])

@@ -176,7 +176,7 @@ class TestCheckpointHandoff:
         while machine.state is CampaignState.RUNNING:
             machine.step()
         tracer.close()
-        finished_early = machine.finished  # patience/mitigation exhaustion
+        finished_early = machine.converged  # patience/mitigation exhaustion
 
         resumed = CampaignStateMachine(
             _make_dse(edge_space, tiny_workload, budget=8),
