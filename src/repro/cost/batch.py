@@ -34,7 +34,6 @@ with ``REPRO_BATCH_EVAL=0``.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -48,6 +47,7 @@ from repro.mapping.mapping import (
     _free_dims,
     _relevant_dims,
 )
+from repro.perf.knobs import env_flag
 from repro.workloads.layers import (
     LOOP_DIMS,
     Dim,
@@ -91,11 +91,10 @@ def batch_eval_enabled(override: Optional[bool] = None) -> bool:
     """Whether the batched evaluator is selected.
 
     ``override`` wins when given; otherwise ``REPRO_BATCH_EVAL`` decides
-    (default on; ``0`` selects the scalar reference path).
+    (default on; ``0``/``off``/``false``/``no`` select the scalar
+    reference path, a junk value warns once and keeps the default).
     """
-    if override is not None:
-        return bool(override)
-    return os.environ.get("REPRO_BATCH_EVAL", "1") != "0"
+    return env_flag("REPRO_BATCH_EVAL", True, override)
 
 
 def int64_safe(batch: CandidateBatch, config: AcceleratorConfig) -> bool:

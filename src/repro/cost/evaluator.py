@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -138,8 +137,7 @@ class CostEvaluator:
         mapping_cache: Layer-level mapping cache to use; None selects the
             process-wide shared cache.
         use_mapping_cache: Force the layer cache on/off; None enables it
-            whenever the mapper supports the traced-search protocol and
-            ``REPRO_MAPPING_CACHE`` is not ``"0"``.
+            whenever the mapper supports the traced-search protocol.
         tracer: Telemetry tracer; uncached evaluations run inside an
             ``evaluate_point`` span (timings only — spans never emit
             journal events, so traces stay deterministic).
@@ -220,9 +218,7 @@ class CostEvaluator:
             self._fleet_stats = FleetStats()
 
         if use_mapping_cache is None:
-            use_mapping_cache = (
-                os.environ.get("REPRO_MAPPING_CACHE", "1") != "0"
-            ) and supports_tracing(mapper)
+            use_mapping_cache = supports_tracing(mapper)
         self._caching_mapper: Optional[CachingMapper] = None
         if use_mapping_cache:
             if not supports_tracing(mapper):
@@ -328,8 +324,6 @@ class CostEvaluator:
                 if merge_stats is not None and stats_delta is not None:
                     merge_stats.merge(stats_delta)
                 if cm is not None:
-                    cm.misses += 1
-                    cm.cache.stats.misses += 1
                     cm.store(layer, config, result, trace)
                 results[layer.name] = result
         else:
@@ -409,8 +403,6 @@ class CostEvaluator:
             return pending
         for layer, result in fused:
             if cm is not None:
-                cm.misses += 1
-                cm.cache.stats.misses += 1
                 cm.store(layer, config, result, None)
             results[layer.name] = result
         return remaining

@@ -9,7 +9,6 @@ every baseline technique.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.arch.accelerator import build_edge_design_space
@@ -33,6 +32,7 @@ from repro.optim import (
     ReinforcementLearningDSE,
     SimulatedAnnealing,
 )
+from repro.perf.knobs import bench_scale
 from repro.workloads.registry import load_workload
 
 __all__ = [
@@ -71,15 +71,6 @@ THROUGHPUT_REQUIREMENTS: Dict[str, float] = {
     "bert": 530.0 / 384.0,
     "wav2vec2": 176000.0 / 64000.0,
 }
-
-
-def bench_scale() -> float:
-    """Budget scale factor from ``REPRO_BENCH_SCALE`` (default 1.0).
-
-    Benchmarks default to laptop-friendly budgets; set
-    ``REPRO_BENCH_SCALE=10`` (or more) to approach the paper's budgets.
-    """
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 
 def edge_constraints(model: str) -> List[Constraint]:

@@ -36,7 +36,6 @@ from repro.perf.knobs import (
     tree_compile_enabled,
 )
 from repro.perf.mapping_cache import (
-    CacheStats,
     CachingMapper,
     MappingCache,
     shared_cache,
@@ -70,7 +69,6 @@ __all__ = [
     "FleetStats",
     "ShmFleet",
     "shared_fleet",
-    "CacheStats",
     "CachingMapper",
     "MappingCache",
     "shared_cache",

@@ -1,11 +1,11 @@
 """Cross-process cache plane: an append-only mmap segment store.
 
 :class:`~repro.perf.mapping_cache.MappingCache` is process-local: every
-worker process (and every fresh CLI invocation without
-``REPRO_MAPPING_CACHE_DIR``) re-runs mapping searches its siblings have
-already paid for.  The cache plane lifts the exact and re-score tiers
-into a directory of append-only **segment files** that concurrently
-running processes share without a server:
+worker process (and every fresh CLI invocation) would re-run mapping
+searches its siblings and predecessors have already paid for.  The cache
+plane lifts the exact and re-score tiers into a directory of append-only
+**segment files** that concurrently running processes — and later runs
+pointed at the same directory — share without a server:
 
 * Each process appends to its **own** segment
   (``plane-<pid>-<token>.seg``), so writers never contend on a file.
@@ -16,8 +16,7 @@ running processes share without a server:
   CRC32-guarded.  A segment that fails framing or checksum validation is
   **quarantined** — renamed to ``<segment>.corrupt``, its entries
   dropped, a one-line :class:`CacheCorruptionError` warning emitted —
-  and the campaign continues on the surviving segments, mirroring the
-  self-healing semantics of the pickle warm-start path.  An *incomplete
+  and the campaign continues on the surviving segments.  An *incomplete
   trailing record* is not corruption: it is a sibling's in-flight
   append, and scanning simply stops before it until it completes.
 
@@ -330,9 +329,8 @@ class CachePlane:
     def _quarantine(self, path: str, exc: Exception) -> None:
         """Drop a bad segment: rename it aside, forget its entries, warn.
 
-        Mirrors ``MappingCache._quarantine_corrupt`` — corruption costs
-        the bad segment's entries (re-computed as ordinary misses), never
-        the campaign.
+        Corruption costs the bad segment's entries (re-computed as
+        ordinary misses), never the campaign.
         """
         cached = self._maps.pop(path, None)
         if cached is not None:

@@ -38,6 +38,8 @@ Knobs resolved here:
   of queueing unboundedly.
 * ``REPRO_SERVICE_TENANT_INFLIGHT`` — per-tenant cap on unsettled
   campaigns; submissions past it are shed with HTTP 429.
+* ``REPRO_BENCH_SCALE`` — budget scale factor of the benchmark and
+  experiment harnesses (:func:`repro.experiments.setup.bench_scale`).
 
 Valid values are memoized per ``(knob, raw value)`` so hot paths (the
 per-node compiled-tree check, the per-step fused gate) never re-parse an
@@ -46,11 +48,13 @@ unchanged environment; junk values stay on the uncached warn-once path.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from typing import Dict, Optional, Set, Tuple
 
 __all__ = [
+    "bench_scale",
     "env_flag",
     "fused_eval_enabled",
     "tree_compile_enabled",
@@ -353,3 +357,28 @@ def cache_plane_dir() -> Optional[str]:
         )
         return None
     return value
+
+
+def bench_scale() -> float:
+    """Budget scale factor from ``REPRO_BENCH_SCALE`` (default 1.0).
+
+    Benchmarks default to laptop-friendly budgets; ``10`` (or more)
+    approaches the paper's budgets.  A value that is not a positive,
+    finite number would scale every budget to nothing (or fail deep in a
+    harness), so it warns once and falls back to 1.0.
+    """
+    raw = os.environ.get("REPRO_BENCH_SCALE")
+    if raw is None:
+        return 1.0
+    try:
+        scale = float(raw.strip())
+    except ValueError:
+        scale = 0.0
+    if not (scale > 0.0 and math.isfinite(scale)):
+        _warn_once(
+            "REPRO_BENCH_SCALE",
+            raw,
+            "falling back to 1.0 — use a positive number",
+        )
+        return 1.0
+    return scale

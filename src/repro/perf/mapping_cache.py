@@ -17,25 +17,19 @@ design-point cache:
   a cold search.  Sweeps over off-chip bandwidth therefore never repeat
   the candidate enumeration or the per-candidate latency model.
 
-Both tiers are LRU-bounded and thread-safe; an optional pickle backend
-(:meth:`MappingCache.save` / ``persist_path``) lets repeated experiment
-runs warm-start (``REPRO_MAPPING_CACHE_DIR``).
+Both tiers are LRU-bounded and thread-safe.  Persistence — across
+processes and across runs — is the cross-process
+:class:`~repro.perf.cache_plane.CachePlane` below them
+(``REPRO_CACHE_PLANE``).
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
 import threading
-import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.arch.accelerator import AcceleratorConfig
-from repro.resilience.errors import CacheCorruptionError, as_repro_error
-from repro.resilience.fault_injection import inject
 from repro.perf.cache_plane import KIND_RESULT, KIND_TRACE, CachePlane
 from repro.perf.knobs import cache_plane_dir
 from repro.perf.signature import (
@@ -51,49 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle:
     # repro.mapping.mapper -> repro.cost -> repro.perf -> this module)
     from repro.mapping.mapper import MappingResult, SearchTrace
 
-__all__ = ["CacheStats", "MappingCache", "CachingMapper", "shared_cache"]
-
-#: Persistence file name inside ``REPRO_MAPPING_CACHE_DIR``.
-PERSIST_FILENAME = "mapping_cache.pkl"
-#: On-disk format version; bump when signatures or traces change shape.
-PERSIST_VERSION = 1
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters of one :class:`MappingCache`."""
-
-    exact_hits: int = 0
-    rescore_hits: int = 0
-    misses: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.exact_hits + self.rescore_hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served without a full search."""
-        total = self.lookups
-        return (self.exact_hits + self.rescore_hits) / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "exact_hits": self.exact_hits,
-            "rescore_hits": self.rescore_hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-        }
-
-    def reset(self) -> None:
-        self.exact_hits = self.rescore_hits = self.misses = 0
+__all__ = ["MappingCache", "CachingMapper", "shared_cache"]
 
 
 class MappingCache:
@@ -103,8 +55,6 @@ class MappingCache:
         max_results: Exact-tier capacity (one ``MappingResult`` each).
         max_traces: Re-score-tier capacity; traces hold up to ``top_n``
             ``(mapping, execution)`` pairs, so this tier is kept small.
-        persist_path: Pickle file to warm-start from (loaded when it
-            exists) and to :meth:`save` to.
         plane: Optional cross-process :class:`CachePlane`; both tiers
             write through to it and consult it on local misses, so
             concurrently running processes share search outcomes.
@@ -112,29 +62,16 @@ class MappingCache:
 
     def __init__(
         self,
-        max_results: Optional[int] = None,
-        max_traces: Optional[int] = None,
-        persist_path: Optional[str] = None,
+        max_results: int = 32768,
+        max_traces: int = 1024,
         plane: Optional[CachePlane] = None,
     ):
-        self.max_results = (
-            _env_int("REPRO_MAPPING_CACHE_RESULTS", 32768)
-            if max_results is None
-            else max_results
-        )
-        self.max_traces = (
-            _env_int("REPRO_MAPPING_CACHE_TRACES", 1024)
-            if max_traces is None
-            else max_traces
-        )
-        self.persist_path = persist_path
+        self.max_results = max_results
+        self.max_traces = max_traces
         self.plane = plane
         self._results: "OrderedDict[Tuple, MappingResult]" = OrderedDict()
         self._traces: "OrderedDict[Tuple, SearchTrace]" = OrderedDict()
         self._lock = threading.Lock()
-        self.stats = CacheStats()
-        if persist_path and os.path.exists(persist_path):
-            self.load(persist_path)
 
     # -- tier access ----------------------------------------------------------
 
@@ -202,99 +139,15 @@ class MappingCache:
         with self._lock:
             self._results.clear()
             self._traces.clear()
-            self.stats.reset()
-
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, path: Optional[str] = None) -> str:
-        """Pickle both tiers atomically; returns the written path."""
-        path = path or self.persist_path
-        if not path:
-            raise ValueError("no persistence path configured")
-        inject("cache-save", key=str(path))
-        payload = {
-            "version": PERSIST_VERSION,
-            "results": dict(self._results),
-            "traces": dict(self._traces),
-        }
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
-
-    def load(self, path: Optional[str] = None) -> bool:
-        """Merge a pickled cache in; returns False on any load problem.
-
-        Self-healing: a truncated/corrupt warm-start file is treated as a
-        cold miss — it is quarantined to ``<path>.corrupt`` (so the next
-        run does not trip over it and the evidence survives for
-        inspection), a one-line :class:`CacheCorruptionError` warning is
-        emitted, and the cache starts cold.  A file with a stale
-        ``PERSIST_VERSION`` is simply ignored (format evolution, not
-        corruption).
-        """
-        path = path or self.persist_path
-        if not path or not os.path.exists(path):
-            return False
-        try:
-            inject("cache-load", key=str(path))
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            self._quarantine_corrupt(path, exc)
-            return False
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != PERSIST_VERSION
-        ):
-            return False
-        try:
-            for key, result in payload.get("results", {}).items():
-                self.put_result(key, result)
-            for key, trace in payload.get("traces", {}).items():
-                self.put_trace(key, trace)
-        except Exception as exc:
-            self._quarantine_corrupt(path, exc)
-            return False
-        return True
-
-    def _quarantine_corrupt(self, path: str, exc: Exception) -> None:
-        """Move an unreadable cache file aside and warn once about it."""
-        corrupt_path: Optional[str] = str(path) + ".corrupt"
-        try:
-            os.replace(path, corrupt_path)
-        except OSError:
-            corrupt_path = None
-        error = CacheCorruptionError(
-            "mapping-cache warm-start file is corrupt: "
-            f"{type(exc).__name__}: {exc}",
-            path=str(path),
-            quarantined_to=corrupt_path,
-        )
-        warnings.warn(
-            f"{error}; continuing with a cold cache",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 class CachingMapper:
     """Drop-in mapper wrapper backed by a :class:`MappingCache`.
 
     Satisfies the ``Mapper`` protocol of ``CostEvaluator`` while serving
-    repeated (layer, config) searches from the cache.  Keeps local
-    counters (independent of the possibly shared cache's global stats)
-    so each evaluator can report its own hit-rate.
+    repeated (layer, config) searches from the cache.  Its counters are
+    per wrapper (the cache itself may be shared), so each evaluator
+    reports its own hit-rate.
     """
 
     def __init__(self, mapper, cache: Optional[MappingCache] = None):
@@ -338,7 +191,6 @@ class CachingMapper:
         result = self.cache.get_result(exact_key)
         if result is not None:
             self.exact_hits += 1
-            self.cache.stats.exact_hits += 1
             return result
         trace = self.cache.get_trace(trace_key)
         if trace is not None:
@@ -347,7 +199,6 @@ class CachingMapper:
             result = rescore_trace(layer, config, trace, self.objective)
             self.cache.put_result(exact_key, result)
             self.rescore_hits += 1
-            self.cache.stats.rescore_hits += 1
             return result
         return None
 
@@ -358,8 +209,9 @@ class CachingMapper:
         result: MappingResult,
         trace: Optional[SearchTrace] = None,
     ) -> None:
-        """Insert an externally computed search outcome (e.g. one a
-        worker process returned)."""
+        """Record a missed search's outcome (e.g. one a worker process
+        or the fused path returned); counts the miss."""
+        self.misses += 1
         exact_key, trace_key = self._keys(layer, config)
         self.cache.put_result(exact_key, result)
         if trace is not None:
@@ -371,8 +223,6 @@ class CachingMapper:
         result = self.lookup(layer, config)
         if result is not None:
             return result
-        self.misses += 1
-        self.cache.stats.misses += 1
         result, trace = self.mapper.search_with_trace(layer, config)
         self.store(layer, config, result, trace)
         return result
@@ -385,43 +235,15 @@ _SHARED_LOCK = threading.Lock()
 def shared_cache() -> MappingCache:
     """The process-wide mapping cache shared by all evaluators.
 
-    Created lazily; when ``REPRO_MAPPING_CACHE_DIR`` is set the cache
-    warm-starts from (and registers an atexit save to)
-    ``$REPRO_MAPPING_CACHE_DIR/mapping_cache.pkl``.  When
-    ``REPRO_CACHE_PLANE`` names a directory, a cross-process
-    :class:`CachePlane` is attached below both tiers so concurrently
-    running processes share search outcomes live.
+    Created lazily.  When ``REPRO_CACHE_PLANE`` names a directory, a
+    cross-process :class:`CachePlane` is attached below both tiers, so
+    concurrently running processes share search outcomes live and a
+    later run pointed at the same directory starts warm.
     """
     global _SHARED
     with _SHARED_LOCK:
         if _SHARED is None:
-            persist_dir = os.environ.get("REPRO_MAPPING_CACHE_DIR")
-            persist_path = (
-                os.path.join(persist_dir, PERSIST_FILENAME)
-                if persist_dir
-                else None
-            )
             plane_dir = cache_plane_dir()
             plane = CachePlane(plane_dir) if plane_dir else None
-            _SHARED = MappingCache(persist_path=persist_path, plane=plane)
-            if persist_path:
-                import atexit
-
-                def _save_on_exit(cache: MappingCache = _SHARED) -> None:
-                    try:
-                        cache.save()
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:
-                        error = as_repro_error(
-                            exc,
-                            "mapping-cache persistence failed",
-                            path=cache.persist_path,
-                        )
-                        warnings.warn(
-                            f"{error}; cache not persisted",
-                            RuntimeWarning,
-                        )
-
-                atexit.register(_save_on_exit)
+            _SHARED = MappingCache(plane=plane)
         return _SHARED

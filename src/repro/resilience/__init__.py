@@ -10,7 +10,7 @@ them (see ``docs/resilience.md``):
   deterministic exponential backoff, ``REPRO_TASK_TIMEOUT``) and the
   campaign :class:`FailureRateBreaker` (``REPRO_MAX_FAILURE_RATE``);
 * :mod:`.fault_injection` — the deterministic ``REPRO_FAULT_INJECT``
-  chaos harness (crash/hang/kill/corrupt at named sites) used by
+  chaos harness (crash/hang/kill at named sites) used by
   ``tests/test_resilience.py`` and ``benchmarks/chaos_smoke.py``.
 """
 
@@ -30,7 +30,6 @@ from repro.resilience.fault_injection import (
     FaultPlan,
     FaultSpec,
     FaultSpecError,
-    InjectedCorruption,
     InjectedCrash,
     attempt_scope,
     current_attempt,
@@ -51,7 +50,6 @@ __all__ = [
     "FaultSpec",
     "FaultSpecError",
     "InfeasibleDesignError",
-    "InjectedCorruption",
     "InjectedCrash",
     "MapperFailureError",
     "ReproError",

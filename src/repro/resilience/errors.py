@@ -5,7 +5,7 @@ Every fault the pipeline can encounter is expressed as a
 layer, attempt count, ...) and a ``retryable`` flag, so callers
 distinguish transient infrastructure faults (a crashed or hung worker —
 retry) from deterministic failures (a mapper bug on one layer, a corrupt
-cache file — quarantine and continue) without catching bare
+cache-plane segment — quarantine and continue) without catching bare
 ``Exception``:
 
 * :class:`EvaluationError` — a design-point evaluation failed.
@@ -19,8 +19,7 @@ cache file — quarantine and continue) without catching bare
   * :class:`InfeasibleDesignError` — the design point cannot be
     instantiated/evaluated at all; deterministic, not retryable.
 
-* :class:`CacheCorruptionError` — a persisted mapping-cache file is
-  truncated/corrupt or could not be written.
+* :class:`CacheCorruptionError` — a cache-plane segment is undecodable.
 * :class:`SystemicFaultError` — the campaign-level failure-rate circuit
   breaker tripped (``REPRO_MAX_FAILURE_RATE``); the campaign state was
   checkpointed before this was raised.
@@ -131,8 +130,7 @@ class InfeasibleDesignError(EvaluationError):
 
 
 class CacheCorruptionError(ReproError):
-    """A persisted cache file is corrupt or could not be written
-    (context: ``path``)."""
+    """A cache-plane segment is undecodable (context: ``path``)."""
 
 
 class SystemicFaultError(ReproError):

@@ -7,7 +7,7 @@
     crash:evaluate:0.05:seed=7      # crash 5% of evaluate() calls
     hang:mapper:0.02:seed=11:for=5  # 2% of mapper searches sleep 5s
     kill:mapper:1.0:match=conv      # SIGKILL the worker on conv layers
-    corrupt:cache-load:step=1       # 1st cache load sees a corrupt file
+    crash:mapper:step=1             # the 1st mapping search crashes
     crash:evaluate:1.0:match=pes=512  # every evaluation of pes=512 points
 
 * ``kind`` — ``crash`` (raise :class:`InjectedCrash`, a retryable
@@ -15,13 +15,10 @@
   (``time.sleep(for)``, exercising ``REPRO_TASK_TIMEOUT``), ``kill``
   (SIGKILL the current process — only inside a process-pool worker;
   elsewhere it degrades to ``crash`` so injected faults can never kill
-  the campaign parent), or ``corrupt`` (raise
-  :class:`InjectedCorruption`, which cache load paths treat exactly like
-  a truncated pickle).
+  the campaign parent).
 * ``site`` — a named injection point: ``evaluate`` (the cost evaluator,
   keyed by the design point), ``mapper`` (the per-layer mapping search,
-  keyed by the layer name), ``cache-load`` / ``cache-save`` (mapping
-  cache persistence, keyed by the file path), ``shm`` (a shared-memory
+  keyed by the layer name), ``shm`` (a shared-memory
   fleet worker evaluating one shard, keyed by
   ``shard-<start>-<stop>`` — ``kill`` faults here SIGKILL the persistent
   worker, exercising shard resubmission), plus the four *service-layer*
@@ -68,7 +65,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
-from repro.resilience.errors import CacheCorruptionError, WorkerCrashError
+from repro.resilience.errors import WorkerCrashError
 
 __all__ = [
     "FAULT_KINDS",
@@ -77,7 +74,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpecError",
     "InjectedCrash",
-    "InjectedCorruption",
     "attempt_scope",
     "current_attempt",
     "inject",
@@ -85,12 +81,10 @@ __all__ = [
 ]
 
 #: Supported fault kinds and the injection sites wired into the pipeline.
-FAULT_KINDS = ("crash", "hang", "kill", "corrupt")
+FAULT_KINDS = ("crash", "hang", "kill")
 FAULT_SITES = (
     "evaluate",
     "mapper",
-    "cache-load",
-    "cache-save",
     "shm",
     "submit",
     "slice",
@@ -107,10 +101,6 @@ class FaultSpecError(ValueError):
 
 class InjectedCrash(WorkerCrashError):
     """A deterministically injected crash (retryable, like the real fault)."""
-
-
-class InjectedCorruption(CacheCorruptionError):
-    """A deterministically injected cache-corruption fault."""
 
 
 @dataclass(frozen=True)
@@ -292,8 +282,6 @@ def inject(site: str, key: str = "") -> None:
         return
     if spec.kind == "kill" and getattr(_STATE, "allow_kill", False):
         os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - dies
-    if spec.kind == "corrupt":
-        raise InjectedCorruption(detail, site=site, key=key)
     # crash, or kill outside a process-pool worker
     raise InjectedCrash(
         detail, site=site, key=key, attempt=current_attempt()

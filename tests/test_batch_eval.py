@@ -8,6 +8,7 @@ reasons, same candidate counts, same re-scorable traces.
 
 import itertools
 import pickle
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,6 +276,28 @@ class TestBatchPrimitives:
         monkeypatch.setenv("REPRO_BATCH_EVAL", "1")
         assert batch_eval_enabled()
         assert not batch_eval_enabled(False)
+
+    @pytest.mark.parametrize("raw", ["0", "off", "False", "no"])
+    def test_off_spellings_select_scalar_path(
+        self, monkeypatch, raw, conv_layer, mid_config
+    ):
+        monkeypatch.setenv("REPRO_BATCH_EVAL", raw)
+        assert not batch_eval_enabled()
+        mapper = TopNMapper(top_n=40)
+        mapper(conv_layer, mid_config)
+        assert mapper.batch_stats.batches == 0
+        assert mapper.batch_stats.scalar_searches == 1
+
+    def test_junk_value_warns_once_and_keeps_default(self, monkeypatch):
+        from repro.perf import knobs
+
+        monkeypatch.setenv("REPRO_BATCH_EVAL", "fast-please")
+        knobs._WARNED.clear()
+        with pytest.warns(RuntimeWarning, match="REPRO_BATCH_EVAL"):
+            assert batch_eval_enabled()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert batch_eval_enabled()  # silent repeat
 
 
 class TestPaddedBoundsMemo:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core.dse.constraints import Constraint, Sense
 from repro.core.dse.explainable import ExplainableDSE
 from repro.cost.evaluator import CostEvaluator
 from repro.mapping.mapper import TopNMapper
+from repro.perf.cache_plane import CachePlane
 from repro.perf.mapping_cache import MappingCache
 from repro.resilience import SystemicFaultError
 from repro.telemetry import (
@@ -377,12 +379,12 @@ class TestJournalVerification:
 
 
 class TestResumeUnderCacheFaults:
-    """Checkpoint-resume combined with mapping-cache persistence faults
-    (``REPRO_FAULT_INJECT`` at the ``cache-save`` site).
+    """Checkpoint-resume combined with a damaged persisted mapping cache.
 
-    A campaign that dies mid-step *and* fails to persist its warm mapping
-    cache must still resume exactly: the cache is a pure accelerator, so
-    a cold (or quarantined-corrupt) cache changes wall-clock, never
+    The mapping cache persists through a :class:`CachePlane` directory.
+    A campaign that dies mid-step and leaves a damaged segment behind
+    must still resume exactly: the cache is a pure accelerator, so a
+    quarantined or partly unreadable plane changes wall-clock, never
     results."""
 
     def _reference(self, edge_space, tiny_workload):
@@ -393,10 +395,13 @@ class TestResumeUnderCacheFaults:
             max_evaluations=25,
         ).run()
 
-    def _killed_run(self, journal, cache, edge_space, tiny_workload):
+    def _killed_run(self, journal, plane_dir, edge_space, tiny_workload):
         ckpt = default_checkpoint_path(journal)
+        plane = CachePlane(str(plane_dir))
         evaluator = KillableEvaluator(
-            tiny_workload, TopNMapper(top_n=60), mapping_cache=cache
+            tiny_workload,
+            TopNMapper(top_n=60),
+            mapping_cache=MappingCache(plane=plane),
         )
         evaluator.kill_at = 14
         tracer = Tracer(JsonlSink(journal))
@@ -404,72 +409,75 @@ class TestResumeUnderCacheFaults:
             ExplainableDSE(
                 edge_space, evaluator, _constraints(), max_evaluations=25
             ).run(tracer=tracer, checkpoint_path=ckpt)
-        return ckpt
+        plane.close()  # the killed process's segment stops growing
+        (segment,) = plane_dir.glob("*.seg")
+        return ckpt, segment
 
-    def _resume(self, journal, ckpt, cache, edge_space, tiny_workload):
+    def _resume(self, journal, ckpt, plane_dir, edge_space, tiny_workload):
         checkpoint = load_checkpoint(ckpt)
         sink = JsonlSink(journal, resume_events=checkpoint.journal_events)
         tracer = Tracer(sink, seq_start=checkpoint.journal_events)
         evaluator = CostEvaluator(
-            tiny_workload, TopNMapper(top_n=60), mapping_cache=cache
+            tiny_workload,
+            TopNMapper(top_n=60),
+            mapping_cache=MappingCache(plane=CachePlane(str(plane_dir))),
         )
         resumed = ExplainableDSE(
             edge_space, evaluator, _constraints(), max_evaluations=25
         ).run(tracer=tracer, checkpoint_path=ckpt, resume_from=ckpt)
         tracer.close()
-        return resumed
+        return resumed, evaluator.perf_summary()["mapping_cache"]["plane"]
 
     def test_injected_save_corruption_then_resume_matches(
-        self, tmp_path, edge_space, tiny_workload, monkeypatch
+        self, tmp_path, edge_space, tiny_workload
     ):
-        """The warm cache dies with the campaign (its save is corrupted);
-        resuming from the checkpoint with a cold cache still reproduces
-        the uninterrupted campaign exactly."""
-        from repro.resilience.fault_injection import InjectedCorruption
-
+        """The kill tears the segment's last append mid-record; the
+        resumed run reads the torn record as in flight (no quarantine),
+        serves the intact records, and reproduces the uninterrupted
+        campaign exactly."""
         reference = self._reference(edge_space, tiny_workload)
 
-        cache_path = tmp_path / "mapping_cache.pkl"
+        plane_dir = tmp_path / "plane"
         journal = tmp_path / "run.jsonl"
-        cache = MappingCache(persist_path=str(cache_path))
-        ckpt = self._killed_run(journal, cache, edge_space, tiny_workload)
-
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "corrupt:cache-save:1.0")
-        with pytest.raises(InjectedCorruption):
-            cache.save()
-        assert not cache_path.exists()
-        monkeypatch.delenv("REPRO_FAULT_INJECT")
-
-        # Warm-start attempt finds nothing on disk -> cold cache.
-        resume_cache = MappingCache(persist_path=str(cache_path))
-        resumed = self._resume(
-            journal, ckpt, resume_cache, edge_space, tiny_workload
+        ckpt, segment = self._killed_run(
+            journal, plane_dir, edge_space, tiny_workload
         )
+        segment.write_bytes(segment.read_bytes()[:-3])
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            resumed, plane_stats = self._resume(
+                journal, ckpt, plane_dir, edge_space, tiny_workload
+            )
+        assert not [w for w in caught if "corrupt" in str(w.message)]
+        assert plane_stats["segments_quarantined"] == 0
+        assert plane_stats["hits"] > 0
+        assert not list(plane_dir.glob("*.corrupt"))
         assert _fingerprint(resumed) == _fingerprint(reference)
 
     def test_corrupt_cache_file_quarantined_on_resume_and_matches(
         self, tmp_path, edge_space, tiny_workload
     ):
-        """A cache file corrupted on disk between kill and resume is
-        quarantined with a warning; the resumed campaign still matches."""
+        """A segment byte flipped between kill and resume is quarantined
+        with a warning; the resumed campaign still matches."""
         reference = self._reference(edge_space, tiny_workload)
 
-        cache_path = tmp_path / "mapping_cache.pkl"
+        plane_dir = tmp_path / "plane"
         journal = tmp_path / "run.jsonl"
-        ckpt = self._killed_run(
-            journal,
-            MappingCache(persist_path=str(cache_path)),
-            edge_space,
-            tiny_workload,
+        ckpt, segment = self._killed_run(
+            journal, plane_dir, edge_space, tiny_workload
         )
-        cache_path.write_bytes(b"\x80\x04 this is not a pickle")
+        raw = bytearray(segment.read_bytes())
+        raw[-1] ^= 0xFF  # inside the last record's payload: CRC fails
+        segment.write_bytes(bytes(raw))
 
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            resume_cache = MappingCache(persist_path=str(cache_path))
-        assert (tmp_path / "mapping_cache.pkl.corrupt").exists()
-        assert not cache_path.exists()
-
-        resumed = self._resume(
-            journal, ckpt, resume_cache, edge_space, tiny_workload
-        )
+        with pytest.warns(
+            RuntimeWarning, match="cache-plane segment is corrupt"
+        ):
+            resumed, plane_stats = self._resume(
+                journal, ckpt, plane_dir, edge_space, tiny_workload
+            )
+        assert plane_stats["segments_quarantined"] == 1
+        assert not segment.exists()
+        assert segment.with_name(segment.name + ".corrupt").exists()
         assert _fingerprint(resumed) == _fingerprint(reference)

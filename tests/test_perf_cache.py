@@ -1,8 +1,9 @@
 """Tests for the layer-level mapping cache (repro.perf).
 
 The load-bearing property: the cache must be invisible in the results —
-every tier (exact hit, bandwidth re-score, disk warm-start) returns
-bit-identical costs versus a cold search.
+every tier (exact hit, bandwidth re-score) returns bit-identical costs
+versus a cold search.  Persistence through the cache plane is covered by
+``tests/test_cache_plane.py``.
 """
 
 import pytest
@@ -98,28 +99,6 @@ class TestMappingCacheStore:
         cache.put_result(("c",), 3)
         assert cache.get_result(("a",)) == 1
         assert cache.get_result(("b",)) is None
-
-    def test_persistence_roundtrip(self, tmp_path, conv_layer, mid_config):
-        path = str(tmp_path / "cache.pkl")
-        cache = MappingCache(persist_path=path)
-        mapper = CachingMapper(TopNMapper(top_n=25), cache)
-        cold = mapper(conv_layer, mid_config)
-        cache.save()
-
-        warm_cache = MappingCache(persist_path=path)
-        assert warm_cache.size() >= 1
-        warm_mapper = CachingMapper(TopNMapper(top_n=25), warm_cache)
-        warm = warm_mapper(conv_layer, mid_config)
-        assert warm_mapper.exact_hits == 1
-        assert warm_mapper.misses == 0
-        assert warm.latency == cold.latency
-        assert warm.mapping == cold.mapping
-
-    def test_corrupt_persistence_ignored(self, tmp_path):
-        path = tmp_path / "cache.pkl"
-        path.write_bytes(b"not a pickle")
-        cache = MappingCache(persist_path=str(path))
-        assert cache.size() == 0
 
 
 class TestCachingMapperIdentity:

@@ -1,8 +1,8 @@
 """Validation tests for the fast-path environment knobs.
 
 ``REPRO_FUSED_EVAL``, ``REPRO_TREE_COMPILE``, ``REPRO_CACHE_PLANE``,
-``REPRO_SHM_EVAL``, ``REPRO_FUSED_SHARDS``, and ``REPRO_SHM_MIN_ROWS``
-follow the ``resolve_jobs`` contract: junk values never raise — they
+``REPRO_SHM_EVAL``, ``REPRO_FUSED_SHARDS``, ``REPRO_SHM_MIN_ROWS``, and
+``REPRO_BENCH_SCALE`` follow the ``resolve_jobs`` contract: junk values never raise — they
 warn once (per knob, per value) and fall back to the safe path.  Valid
 values are memoized per raw string (hot paths re-read knobs), junk
 values are not (clearing ``_WARNED`` must re-warn).
@@ -28,6 +28,7 @@ def _clean_env(monkeypatch):
         "REPRO_SERVICE_MAX_CONCURRENT",
         "REPRO_SERVICE_STEP_QUANTUM",
         "REPRO_TENANT_QUOTA",
+        "REPRO_BENCH_SCALE",
     ):
         monkeypatch.delenv(name, raising=False)
 
@@ -265,3 +266,25 @@ class TestCachePlaneDir:
         knobs._WARNED.clear()
         with pytest.warns(RuntimeWarning, match="REPRO_CACHE_PLANE"):
             assert knobs.cache_plane_dir() is None
+
+
+class TestBenchScale:
+    def test_default_and_valid_value(self, monkeypatch):
+        assert knobs.bench_scale() == 1.0
+        monkeypatch.setenv("REPRO_BENCH_SCALE", " 2.5 ")
+        assert knobs.bench_scale() == 2.5
+
+    def test_experiment_setup_uses_the_validated_knob(self):
+        from repro.experiments.setup import bench_scale
+
+        assert bench_scale is knobs.bench_scale
+
+    @pytest.mark.parametrize("raw", ["ten", "0", "-2", "nan", "inf", ""])
+    def test_invalid_values_warn_once_and_fall_back(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", raw)
+        knobs._WARNED.clear()
+        with pytest.warns(RuntimeWarning, match="REPRO_BENCH_SCALE"):
+            assert knobs.bench_scale() == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert knobs.bench_scale() == 1.0  # silent repeat

@@ -1,9 +1,9 @@
 """Tests for the resilience layer (repro.resilience).
 
 Covers the fault taxonomy, the deterministic fault-injection harness,
-worker supervision (retry / timeout / SIGKILL / serial fallback),
-self-healing cache persistence, DSE candidate quarantine, and the
-campaign circuit breaker.
+worker supervision (retry / timeout / SIGKILL / serial fallback), DSE
+candidate quarantine, and the campaign circuit breaker.  The
+self-healing cache plane is covered by ``tests/test_cache_plane.py``.
 """
 
 import os
@@ -18,7 +18,7 @@ from repro.core.dse.constraints import Constraint, Sense
 from repro.core.dse.explainable import ExplainableDSE
 from repro.cost.evaluator import CostEvaluator
 from repro.mapping.mapper import TopNMapper
-from repro.perf.mapping_cache import PERSIST_VERSION, MappingCache
+from repro.perf.mapping_cache import MappingCache
 from repro.perf.parallel import WorkerPool, resolve_jobs
 from repro.resilience import (
     CacheCorruptionError,
@@ -161,12 +161,12 @@ class TestFaultSpecGrammar:
     def test_parse_multiple_specs(self):
         plan = parse_fault_plan(
             "crash:evaluate:0.05:seed=7, hang:mapper:0.02:for=5,"
-            "corrupt:cache-load:step=1"
+            "kill:shm:step=1"
         )
-        assert [s.kind for s in plan.specs] == ["crash", "hang", "corrupt"]
+        assert [s.kind for s in plan.specs] == ["crash", "hang", "kill"]
         assert plan.specs[1].duration == 5.0
         assert plan.specs[2].step == 1
-        assert plan.sites() == ("cache-load", "evaluate", "mapper")
+        assert plan.sites() == ("evaluate", "mapper", "shm")
 
     @pytest.mark.parametrize(
         "text",
@@ -250,11 +250,6 @@ class TestInject:
         monkeypatch.setenv("REPRO_FAULT_INJECT", "kill:evaluate:1.0")
         with pytest.raises(InjectedCrash):
             inject("evaluate", key="k")
-
-    def test_corrupt_kind(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "corrupt:cache-load:1.0")
-        with pytest.raises(CacheCorruptionError):
-            inject("cache-load", key="/tmp/x.pkl")
 
 
 # -- supervision policy -------------------------------------------------------
@@ -509,62 +504,6 @@ class TestEvaluatorSupervision:
         with _make_evaluator(tiny_workload) as evaluator:
             assert evaluator.retry_policy.max_retries >= 0
         assert evaluator._pool._executor is None
-
-
-# -- self-healing cache persistence ------------------------------------------
-
-
-class TestCacheSelfHealing:
-    def test_corrupt_file_quarantined_and_cold(self, tmp_path):
-        path = tmp_path / "cache.pkl"
-        path.write_bytes(b"\x00this is not a pickle")
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            cache = MappingCache(persist_path=str(path))
-        assert cache.size() == 0
-        assert not path.exists()
-        assert (tmp_path / "cache.pkl.corrupt").exists()
-        # The next cold start finds no file at all: no warning, no load.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            MappingCache(persist_path=str(path))
-
-    def test_stale_version_ignored_quietly(self, tmp_path):
-        path = tmp_path / "cache.pkl"
-        with open(path, "wb") as handle:
-            pickle.dump(
-                {"version": PERSIST_VERSION + 1, "results": {}, "traces": {}},
-                handle,
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cache = MappingCache(persist_path=str(path))
-        assert cache.size() == 0
-        assert path.exists()  # format evolution, not corruption
-
-    def test_injected_load_corruption(self, tmp_path, monkeypatch):
-        path = tmp_path / "cache.pkl"
-        cache = MappingCache(persist_path=str(path))
-        cache.put_result(("k",), "value")
-        cache.save()
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "corrupt:cache-load:1.0")
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            reloaded = MappingCache(persist_path=str(path))
-        assert reloaded.size() == 0
-        assert (tmp_path / "cache.pkl.corrupt").exists()
-
-    def test_injected_save_failure_raises(self, tmp_path, monkeypatch):
-        cache = MappingCache(persist_path=str(tmp_path / "cache.pkl"))
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:cache-save:1.0")
-        with pytest.raises(WorkerCrashError):
-            cache.save()
-
-    def test_roundtrip_still_works(self, tmp_path):
-        path = tmp_path / "cache.pkl"
-        cache = MappingCache(persist_path=str(path))
-        cache.put_result(("key",), "result")
-        cache.save()
-        reloaded = MappingCache(persist_path=str(path))
-        assert reloaded.get_result(("key",)) == "result"
 
 
 # -- DSE quarantine and circuit breaker ---------------------------------------
